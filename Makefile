@@ -1,9 +1,17 @@
 # Standard entry points; `make verify` is the gate a change must pass.
 
-.PHONY: build test race cover bench bench-parallel bench-telemetry bench-failover bench-scale bench-consolidation bench-provenance bench-monitor bench-daemon benchgate bench-baseline fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke verify
+.PHONY: build lint test race cover bench bench-parallel bench-telemetry bench-failover bench-scale bench-consolidation bench-provenance bench-monitor bench-daemon benchgate bench-baseline fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke verify
 
 build:
 	go build ./...
+
+# Static checks: gofmt (fails on any file it lists) and go vet over the root
+# module and the nested perfbench module, which `go list ./...` at the root
+# does not reach.
+lint:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
+	go vet ./...
+	go -C perfbench vet ./...
 
 test:
 	go test ./...

@@ -442,13 +442,13 @@ func ScheduleHEFT(a *Analysis, p *Platform) (*PlanResult, error) {
 // Stretch runs the paper's online task-stretching heuristic on a schedule,
 // assigning one DVFS speed per task in scheduling order.
 func Stretch(s *PlanResult, d DVFS) (*StretchResult, error) {
-	return stretch.Heuristic(s, d, 0)
+	return stretch.Heuristic(s, d)
 }
 
 // StretchWorstCase runs the probability-blind critical-path stretcher
 // (reference algorithm 1's DVFS stage).
 func StretchWorstCase(s *PlanResult, d DVFS) (*StretchResult, error) {
-	return stretch.WorstCase(s, d, 0)
+	return stretch.WorstCase(s, d)
 }
 
 // StretchNLP runs the convex-programming stretcher (reference algorithm 2's
@@ -462,20 +462,7 @@ func StretchNLP(s *PlanResult, d DVFS, opts NLPOptions) (*StretchResult, error) 
 // branch forks that precede it (see stretch.PerScenario). Replay with
 // SimConfig.ScenarioSpeeds.
 func StretchPerScenario(s *PlanResult, d DVFS) (*ScenarioSpeeds, error) {
-	return stretch.PerScenario(s, d)
-}
-
-// StretchGuarded is Stretch with a guard band: the fraction guard ∈ [0,1] of
-// every task's slack is reserved as execution-time overrun margin instead of
-// being spent on DVFS. Guard 0 reproduces Stretch bit-for-bit.
-func StretchGuarded(s *PlanResult, d DVFS, guard float64) (*StretchResult, error) {
-	return stretch.HeuristicGuarded(s, d, 0, guard)
-}
-
-// StretchPerScenarioGuarded is StretchPerScenario with a guard band (see
-// StretchGuarded).
-func StretchPerScenarioGuarded(s *PlanResult, d DVFS, guard float64) (*ScenarioSpeeds, error) {
-	return stretch.PerScenarioGuarded(s, d, guard)
+	return stretch.PerScenario(s, d, 0, nil)
 }
 
 // Plan is the one-call online algorithm: modified DLS followed by the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ctgdvfs/internal/sched"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
 )
@@ -90,6 +91,61 @@ func TestStepCtxCancelLeavesIncumbentUntouched(t *testing.T) {
 		}
 		if m.Calls() != calls {
 			t.Fatalf("perScenario=%v: cancelled step counted a completed call", perScenario)
+		}
+	}
+}
+
+// TestStepCtxCancelInsideStretch cancels a full reschedule on its last poll,
+// which lands inside the stretch step — past every DLS placement round — in
+// both stretching modes. The incumbent must stay untouched, and in
+// single-speed mode the warm workspace, already rebound to the discarded
+// mapping, must be marked stale so no later warm attempt retargets it.
+func TestStepCtxCancelInsideStretch(t *testing.T) {
+	for _, perScenario := range []bool{false, true} {
+		m, vecs := cancelManager(t, perScenario)
+		twin, _ := cancelManager(t, perScenario)
+		for i, v := range vecs[:5] {
+			if _, err := m.Step(v); err != nil {
+				t.Fatalf("perScenario=%v warmup %d: %v", perScenario, i, err)
+			}
+			if _, err := twin.Step(v); err != nil {
+				t.Fatalf("perScenario=%v twin warmup %d: %v", perScenario, i, err)
+			}
+		}
+		// The twin counts the polls of the uncancelled step.
+		full := &pollCtx{fuse: 1 << 30}
+		if _, err := twin.StepCtx(full, vecs[5]); err != nil {
+			t.Fatalf("perScenario=%v: twin step: %v", perScenario, err)
+		}
+		// One placement round per task; the step itself polls once first.
+		dls := &pollCtx{fuse: 1 << 30}
+		ws := sched.NewWorkspace()
+		ws.Cancel = dls.Err
+		if _, err := sched.DLSInto(m.a, m.p, m.opts.Sched, ws); err != nil {
+			t.Fatal(err)
+		}
+		fc := &pollCtx{fuse: full.count() - 1}
+		if fc.fuse <= 1+dls.count() {
+			t.Fatalf("perScenario=%v: fuse %d does not pass the %d DLS rounds", perScenario, fc.fuse, dls.count())
+		}
+
+		before, speeds := m.Schedule(), m.ScenarioSpeeds()
+		instances, calls := m.Instances(), m.Calls()
+		if _, err := m.StepCtx(fc, vecs[5]); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("perScenario=%v: want DeadlineExceeded, got %v", perScenario, err)
+		}
+		if fc.count() != full.count() {
+			t.Fatalf("perScenario=%v: cancelled step polled %d times, uncancelled %d", perScenario, fc.count(), full.count())
+		}
+		if m.Schedule() != before || m.ScenarioSpeeds() != speeds {
+			t.Fatalf("perScenario=%v: incumbent replaced by a step cancelled inside stretch", perScenario)
+		}
+		if m.Instances() != instances || m.Calls() != calls {
+			t.Fatalf("perScenario=%v: cancelled step moved instances %d → %d, calls %d → %d",
+				perScenario, instances, m.Instances(), calls, m.Calls())
+		}
+		if !perScenario && m.warm.wsGen == m.mapGen {
+			t.Fatal("warm workspace still marked current after a cancelled full-path stretch")
 		}
 	}
 }

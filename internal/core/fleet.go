@@ -449,7 +449,7 @@ func (f *Fleet) predictTenant(t *fleetTenant, heldPEs []int, guardScale float64)
 	if err != nil {
 		return 0, err
 	}
-	r, err := stretch.HeuristicGuarded(s, t.Opts.DVFS, t.Opts.MaxPaths, t.baseGuard*guardScale)
+	r, err := stretch.HeuristicGuarded(s, t.Opts.DVFS, 0, t.baseGuard*guardScale)
 	if err != nil {
 		return 0, err
 	}

@@ -44,9 +44,6 @@ type Options struct {
 	// Sched selects the mapping/ordering algorithm (default the paper's
 	// modified DLS).
 	Sched sched.Options
-	// MaxPaths caps the stretching path model (default
-	// ctg.DefaultMaxPaths).
-	MaxPaths int
 	// PerScenario replaces the paper's single-speed stretching with the
 	// scenario-conditioned extension (stretch.PerScenario): every
 	// re-schedule computes a speed table indexed by leaf scenario, and
@@ -79,8 +76,9 @@ type Options struct {
 	WarmMaxAffected float64
 
 	// GuardBand ∈ [0,1] reserves that fraction of every task's slack as
-	// overrun margin during stretching (stretch.HeuristicGuarded /
-	// PerScenarioGuarded). Zero reproduces the paper's stretching exactly.
+	// overrun margin during stretching (the guard argument of
+	// stretch.HeuristicPartial / PerScenario). Zero reproduces the paper's
+	// stretching exactly.
 	GuardBand float64
 	// Faults, when non-nil, perturbs the replay of every Step with the
 	// plan's execution-time factors; the fault-instance cursor advances
@@ -474,8 +472,8 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return nil, fmt.Errorf("core: threshold must be in [0,1], got %v", opts.Threshold)
 	}
-	if math.IsNaN(opts.GuardBand) || opts.GuardBand < 0 || opts.GuardBand > 1 {
-		return nil, fmt.Errorf("core: guard band must be in [0,1], got %v", opts.GuardBand)
+	if err := stretch.ValidateGuard(opts.GuardBand); err != nil {
+		return nil, err
 	}
 	if opts.MissWindow < 1 {
 		return nil, fmt.Errorf("core: miss window must be ≥ 1, got %d", opts.MissWindow)
@@ -775,8 +773,8 @@ func (m *Manager) ApplyAvailability(mask platform.Mask) error {
 // governor's degradation ladder; raising it restores the margin. A value
 // equal to the current base guard is a no-op.
 func (m *Manager) SetGuardBand(g float64) error {
-	if math.IsNaN(g) || g < 0 || g > 1 {
-		return fmt.Errorf("core: guard band must be in [0,1], got %v", g)
+	if err := stretch.ValidateGuard(g); err != nil {
+		return err
 	}
 	if g == m.opts.GuardBand {
 		return nil
@@ -850,43 +848,40 @@ func (m *Manager) reschedule(reason string) error {
 		return err
 	}
 	m.span("dls", m.mm.pipeDLS, dlsStart)
-	stretchStart := time.Now()
 	if m.opts.PerScenario {
-		sp, err := stretch.PerScenarioGuardedCancel(s, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
+		stretchStart := time.Now()
+		sp, err := stretch.PerScenario(s, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
 		if err != nil {
 			return err
 		}
 		m.speeds = sp
 		m.span("stretch", m.mm.pipeStretch, stretchStart)
 	} else {
-		sr, err := stretch.HeuristicGuardedCancel(s, m.opts.DVFS, m.opts.MaxPaths, guard, stretch.CancelFunc(m.cancel))
+		// The warm workspace moves to the new mapping and every task is
+		// re-stretched — the warm path's own stretch call with nothing kept.
+		// Until the mapping is adopted below the workspace matches no
+		// incumbent, so a cancelled or failed pass leaves it marked stale.
+		w := &m.warm
+		w.wsGen = -1
+		w.ws.Rebind(s)
+		for t := range w.affected {
+			w.affected[t] = true
+		}
+		sr, err := m.stretchAffected(s, guard)
 		if err != nil {
 			return err
 		}
 		m.speeds = nil
-		m.span("stretch", m.mm.pipeStretch, stretchStart)
-		if m.rec != nil {
-			// Stretch-pass summary: how much slack Figure 2 distributed and
-			// how much of it the (guarded, possibly discrete) DVFS model
-			// actually converted. The per-scenario path has no single
-			// summary — its detail is a scenarios × tasks table.
-			m.emit(telemetry.Event{
-				Kind:       telemetry.KindStretch,
-				Instance:   m.instances,
-				Tasks:      sr.Stretched,
-				SlackFound: sr.SlackFound,
-				SlackUsed:  sr.SlackUsed,
-				Energy:     sr.ExpectedEnergy,
-				Makespan:   sr.WorstDelay,
-				Cause:      m.causeSeq,
-			})
-		}
+		m.emitStretch(sr, s)
 	}
 	m.schedule = s
 	if m.cache != nil {
 		m.cache.put(key, s, m.speeds)
 	}
 	m.mapGen++
+	if !m.opts.PerScenario {
+		m.warm.wsGen = m.mapGen
+	}
 	m.calls++
 	m.mm.calls.Inc()
 	m.noteScheduleState(guard)
@@ -1453,7 +1448,7 @@ func BuildOnline(g *ctg.Graph, p *platform.Platform, opts Options) (*sched.Sched
 	if err != nil {
 		return nil, err
 	}
-	if _, err := stretch.Heuristic(s, opts.DVFS, opts.MaxPaths); err != nil {
+	if _, err := stretch.Heuristic(s, opts.DVFS); err != nil {
 		return nil, err
 	}
 	return s, nil

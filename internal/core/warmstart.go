@@ -211,14 +211,12 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		m.span("diff", m.mm.pipeDiff, diffStart)
 		if guardChanged {
 			stretchStart := time.Now()
-			sp, err := stretch.PerScenarioGuardedCancel(m.schedule, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
+			sp, err := stretch.PerScenario(m.schedule, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
 			if err != nil {
 				if m.cancelled() {
 					return false, err
 				}
-				w.fallbacks++
-				m.mm.warmFallbacks.Inc()
-				return false, nil
+				return m.warmFallback()
 			}
 			m.speeds = sp
 			m.span("stretch", m.mm.pipeStretch, stretchStart)
@@ -234,15 +232,11 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		}
 	} else {
 		if len(changed) > m.opts.WarmMaxForks {
-			w.fallbacks++
-			m.mm.warmFallbacks.Inc()
-			return false, nil
+			return m.warmFallback()
 		}
 		count := m.markAffected(changed)
 		if float64(count) > m.opts.WarmMaxAffected*float64(m.g.NumTasks()) {
-			w.fallbacks++
-			m.mm.warmFallbacks.Inc()
-			return false, nil
+			return m.warmFallback()
 		}
 	}
 	m.span("diff", m.mm.pipeDiff, diffStart)
@@ -251,9 +245,7 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		w.ws.Rebind(target)
 		w.wsGen = m.mapGen
 	}
-	stretchStart := time.Now()
-	w.ws.Cancel = stretch.CancelFunc(m.cancel)
-	sr, err := stretch.HeuristicPartial(target, m.opts.DVFS, guard, w.affected, w.ws)
+	sr, err := m.stretchAffected(target, guard)
 	if err != nil {
 		// A cancelled partial pass must not fall through to the full
 		// pipeline (which would just re-detect the cancellation after
@@ -261,41 +253,67 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		if m.cancelled() {
 			return false, err
 		}
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFallback()
 	}
-	m.span("stretch", m.mm.pipeStretch, stretchStart)
 	validateStart := time.Now()
 	if sr.WorstDelay > m.g.Deadline()*(1+warmEps) {
 		// The incumbent skeleton can no longer hold the deadline under the
 		// new weighting — let the full path find a new mapping.
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFallback()
 	}
 	if err := target.QuickValidate(); err != nil {
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFallback()
 	}
 	m.span("validate", m.mm.pipeValidate, validateStart)
 	m.schedule = target
 	m.speeds = nil
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind:       telemetry.KindStretch,
-			Instance:   m.instances,
-			Tasks:      sr.Stretched,
-			SlackFound: sr.SlackFound,
-			SlackUsed:  sr.SlackUsed,
-			Energy:     target.ExpectedEnergy(),
-			Makespan:   sr.WorstDelay,
-			Cause:      m.causeSeq,
-		})
-	}
+	m.emitStretch(sr, target)
 	m.adoptWarm(reason, guard)
 	return true, nil
+}
+
+// stretchAffected runs the single-speed stretch pass shared by the full,
+// warm and guard-change reschedules: stretch.HeuristicPartial over the tasks
+// marked in the warm affected mask, on the warm workspace (which the caller
+// has bound to s's mapping), polling the step's context once per task.
+func (m *Manager) stretchAffected(s *sched.Schedule, guard float64) (stretch.Result, error) {
+	w := &m.warm
+	start := time.Now()
+	w.ws.Cancel = stretch.CancelFunc(m.cancel)
+	sr, err := stretch.HeuristicPartial(s, m.opts.DVFS, guard, w.affected, w.ws)
+	if err == nil {
+		m.span("stretch", m.mm.pipeStretch, start)
+	}
+	return sr, err
+}
+
+// emitStretch records the summary of a single-speed stretch pass about to be
+// adopted: how much slack Figure 2 distributed and how much of it the
+// (guarded, possibly discrete) DVFS model actually converted. The
+// per-scenario path has no single summary — its detail is a scenarios ×
+// tasks table.
+func (m *Manager) emitStretch(sr stretch.Result, s *sched.Schedule) {
+	if m.rec == nil {
+		return
+	}
+	m.emit(telemetry.Event{
+		Kind:       telemetry.KindStretch,
+		Instance:   m.instances,
+		Tasks:      sr.Stretched,
+		SlackFound: sr.SlackFound,
+		SlackUsed:  sr.SlackUsed,
+		Energy:     s.ExpectedEnergy(),
+		Makespan:   sr.WorstDelay,
+		Cause:      m.causeSeq,
+	})
+}
+
+// warmFallback counts an eligible warm attempt that falls back to the full
+// recompute and tells tryWarmStart's caller to run it.
+func (m *Manager) warmFallback() (bool, error) {
+	m.warm.fallbacks++
+	m.mm.warmFallbacks.Inc()
+	return false, nil
 }
 
 // cancelled reports whether the in-flight StepCtx's context has expired

@@ -29,11 +29,14 @@ func (c *countingCancel) fn() CancelFunc {
 func TestHeuristicCancelAbortsWithinOneTask(t *testing.T) {
 	s := prepare(t, 42, 1.6)
 	cc := &countingCancel{fuse: 2}
-	res, err := HeuristicGuardedCancel(s, platform.Continuous(), 0, 0, cc.fn())
+	ws := NewWorkspace()
+	ws.Rebind(s)
+	ws.Cancel = cc.fn()
+	res, err := HeuristicPartial(s, platform.Continuous(), 0, allTasks(s), ws)
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("want errCancelled, got %v (res %v)", err, res)
 	}
-	if res != nil {
+	if res != (Result{}) {
 		t.Fatal("cancelled stretch returned a result")
 	}
 	// Polled once per stretched task: the abort lands on poll fuse+1.
@@ -50,14 +53,17 @@ func TestHeuristicCancelCompletedRunIdentical(t *testing.T) {
 	}
 	got := prepare(t, 43, 1.6)
 	cc := &countingCancel{fuse: 1 << 30}
-	gres, err := HeuristicGuardedCancel(got, platform.Continuous(), 0, 0.1, cc.fn())
+	ws := NewWorkspace()
+	ws.Rebind(got)
+	ws.Cancel = cc.fn()
+	gres, err := HeuristicPartial(got, platform.Continuous(), 0.1, allTasks(got), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cc.polls.Load() == 0 {
 		t.Fatal("cancel source was never polled")
 	}
-	if gres.ExpectedEnergy != wres.ExpectedEnergy || gres.SlackUsed != wres.SlackUsed {
+	if got.ExpectedEnergy() != wres.ExpectedEnergy || gres.SlackUsed != wres.SlackUsed {
 		t.Fatalf("result differs: %+v vs %+v", gres, wres)
 	}
 	for i := range want.Speed {
@@ -71,7 +77,7 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 	s := prepare(t, 44, 1.6)
 	nsc := s.A.NumScenarios()
 	cc := &countingCancel{fuse: 0}
-	sp, err := PerScenarioGuardedCancel(s, platform.Continuous(), 0, cc.fn())
+	sp, err := PerScenario(s, platform.Continuous(), 0, cc.fn())
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("want errCancelled, got %v (speeds %v)", err, sp)
 	}
@@ -87,13 +93,13 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 
 func TestPerScenarioCancelCompletedRunIdentical(t *testing.T) {
 	want := prepare(t, 45, 1.6)
-	wsp, err := PerScenarioGuarded(want, platform.Continuous(), 0.1)
+	wsp, err := PerScenario(want, platform.Continuous(), 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := prepare(t, 45, 1.6)
 	cc := &countingCancel{fuse: 1 << 30}
-	gsp, err := PerScenarioGuardedCancel(got, platform.Continuous(), 0.1, cc.fn())
+	gsp, err := PerScenario(got, platform.Continuous(), 0.1, cc.fn())
 	if err != nil {
 		t.Fatal(err)
 	}

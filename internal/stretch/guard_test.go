@@ -81,7 +81,7 @@ func TestHeuristicGuardedValidatesAndBounds(t *testing.T) {
 			t.Fatalf("guard %v: want error", bad)
 		}
 	}
-	if _, err := PerScenarioGuarded(s.Clone(), platform.Continuous(), math.Inf(1)); err == nil {
+	if _, err := PerScenario(s.Clone(), platform.Continuous(), math.Inf(1), nil); err == nil {
 		t.Fatal("infinite guard: want error")
 	}
 }
@@ -90,7 +90,7 @@ func TestGuardZeroMatchesHeuristicBitForBit(t *testing.T) {
 	for seed := int64(30); seed < 36; seed++ {
 		_, s1 := guardWorkload(t, seed)
 		_, s2 := guardWorkload(t, seed)
-		r1, err := Heuristic(s1, platform.Continuous(), 0)
+		r1, err := Heuristic(s1, platform.Continuous())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +137,11 @@ func TestGuardTradesEnergyForMargin(t *testing.T) {
 
 func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	_, s := guardWorkload(t, 50)
-	plain, err := PerScenario(s, platform.Continuous())
+	plain, err := PerScenario(s, platform.Continuous(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := PerScenarioGuarded(s, platform.Continuous(), 0)
+	zero, err := PerScenario(s, platform.Continuous(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 			}
 		}
 	}
-	guarded, err := PerScenarioGuarded(s, platform.Continuous(), 0.4)
+	guarded, err := PerScenario(s, platform.Continuous(), 0.4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	if ge <= pe {
 		t.Fatalf("guarded expected energy %v not above plain %v", ge, pe)
 	}
-	full, err := PerScenarioGuarded(s, platform.Continuous(), 1)
+	full, err := PerScenario(s, platform.Continuous(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

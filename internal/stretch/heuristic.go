@@ -28,12 +28,6 @@ type Result struct {
 	SlackFound, SlackUsed float64
 }
 
-// Observer receives one callback per task processed by the stretching
-// heuristic (in DLS task order): the slack CalculateSlack distributed to the
-// task and the speed the task ended at. It is the telemetry hook of the
-// stretching stage; a nil Observer costs one branch per task.
-type Observer func(t ctg.TaskID, slack, speed float64)
-
 // Heuristic runs the paper's online task-stretching heuristic (Figure 2) on
 // the schedule, assigning one DVFS speed per task in the DLS task order. The
 // schedule's Speed vector is updated in place.
@@ -64,8 +58,8 @@ type Observer func(t ctg.TaskID, slack, speed float64)
 // only on conditional arms (e.g. τ4 of the paper's own Figure 1) would never
 // receive slack, contradicting the stated goal of giving more slack to
 // likely tasks; under this reading the worked examples of §III.A hold.
-func Heuristic(s *sched.Schedule, d platform.DVFS, maxPaths int) (*Result, error) {
-	return heuristicOpts(s, d, maxPaths, false, 0, nil, nil)
+func Heuristic(s *sched.Schedule, d platform.DVFS) (*Result, error) {
+	return heuristicFull(s, d, 0, false)
 }
 
 // HeuristicGuarded is Heuristic with a guard band: a fraction guard ∈ [0, 1]
@@ -73,22 +67,18 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, maxPaths int) (*Result, error
 // converted into speed reduction (platform.GuardedSpeedForTime), so the
 // stretched schedule tolerates bounded execution-time overruns by
 // construction at the cost of higher energy. guard = 0 is exactly Heuristic;
-// guard = 1 leaves every task at full speed.
+// guard = 1 leaves every task at full speed. maxPaths is ignored — the DP
+// model needs no path cap — and stays only for existing callers.
 func HeuristicGuarded(s *sched.Schedule, d platform.DVFS, maxPaths int, guard float64) (*Result, error) {
-	return HeuristicObserved(s, d, maxPaths, guard, nil)
-}
-
-// HeuristicObserved is HeuristicGuarded with a per-task telemetry Observer.
-// The observer only watches — passing nil is bit-for-bit HeuristicGuarded.
-func HeuristicObserved(s *sched.Schedule, d platform.DVFS, maxPaths int, guard float64, obs Observer) (*Result, error) {
-	if err := validGuard(guard); err != nil {
+	if err := ValidateGuard(guard); err != nil {
 		return nil, err
 	}
-	return heuristicOpts(s, d, maxPaths, false, guard, obs, nil)
+	return heuristicFull(s, d, guard, false)
 }
 
-// validGuard checks a guard-band fraction.
-func validGuard(guard float64) error {
+// ValidateGuard checks a guard-band fraction: it must lie in [0, 1] (NaN is
+// rejected).
+func ValidateGuard(guard float64) error {
 	if math.IsNaN(guard) || guard < 0 || guard > 1 {
 		return fmt.Errorf("stretch: guard band must be in [0,1], got %v", guard)
 	}
@@ -101,26 +91,78 @@ func validGuard(guard float64) error {
 // scaling on chains) and the literal slk(p)/delay(p) (literalRatio=true —
 // shares shrink geometrically along a path, leaving slack unused). See the
 // ablation benchmarks for the measured difference.
-func HeuristicVariant(s *sched.Schedule, d platform.DVFS, maxPaths int, literalRatio bool) (*Result, error) {
-	return heuristicOpts(s, d, maxPaths, literalRatio, 0, nil, nil)
+func HeuristicVariant(s *sched.Schedule, d platform.DVFS, literalRatio bool) (*Result, error) {
+	return heuristicFull(s, d, 0, literalRatio)
 }
 
-func heuristicOpts(s *sched.Schedule, d platform.DVFS, maxPaths int, literalRatio bool, guard float64, obs Observer, cancel CancelFunc) (*Result, error) {
+// heuristicFull is the full-schedule pass behind Heuristic, HeuristicGuarded
+// and HeuristicVariant: a fresh workspace with nothing locked, starting from
+// the schedule's current speeds.
+func heuristicFull(s *sched.Schedule, d platform.DVFS, guard float64, literalRatio bool) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	_ = maxPaths // retained for API stability; the DP model needs no cap
-	dag := newDAG(s)
-	locked := make([]bool, s.G.NumTasks())
-	scratch := newSlackScratch(s.G.NumTasks())
-	res := &Result{}
+	w := NewWorkspace()
+	w.Rebind(s)
+	res, err := w.stretch(s, d, guard, literalRatio)
+	if err != nil {
+		return nil, err
+	}
+	res.ExpectedEnergy = s.ExpectedEnergy()
+	return &res, nil
+}
+
+// Workspace holds the reusable buffers of repeated stretching passes over
+// one mapping: the combined-DAG model, the lock vector and the slack DP
+// scratch. Rebind it after every full reschedule (new mapping), then each
+// HeuristicPartial call on that mapping allocates nothing. Not safe for
+// concurrent use.
+type Workspace struct {
+	// Cancel, when non-nil, is polled once per task the pass stretches; a
+	// non-nil return aborts the pass with that error. See CancelFunc.
+	Cancel CancelFunc
+
+	dag     *dagModel
+	locked  []bool
+	scratch *slackScratch
+}
+
+// NewWorkspace returns an empty stretch workspace; Rebind must be called
+// before the first HeuristicPartial.
+func NewWorkspace() *Workspace { return &Workspace{} }
+
+// Rebind rebuilds the workspace's DAG topology from a schedule — required
+// whenever the mapping changed (a full DLS ran or a cached schedule with a
+// different mapping was adopted).
+func (w *Workspace) Rebind(s *sched.Schedule) {
+	w.dag = newDAG(s)
+	n := s.G.NumTasks()
+	if cap(w.locked) < n {
+		w.locked = make([]bool, n)
+	}
+	w.locked = w.locked[:n]
+	if w.scratch == nil || len(w.scratch.full.up) != n {
+		w.scratch = newSlackScratch(n)
+	}
+}
+
+// stretch is the Figure 2 task loop: every task not yet locked, in DLS
+// order, receives its CalculateSlack share, is stretched by it and locked.
+// Cancel is polled once per such task. The workspace must be bound to s.
+// ExpectedEnergy is left to the caller.
+func (w *Workspace) stretch(s *sched.Schedule, d platform.DVFS, guard float64, literalRatio bool) (Result, error) {
+	dag := w.dag
+	var res Result
 	for _, t := range s.Order {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return nil, err
+		if w.locked[t] {
+			continue
+		}
+		if w.Cancel != nil {
+			if err := w.Cancel(); err != nil {
+				return Result{}, err
 			}
 		}
-		slk := calculateSlack(dag, t, locked, literalRatio, scratch)
+		slk := calculateSlack(dag, t, w.locked, literalRatio, w.scratch)
 		if slk > 0 {
 			wcet := s.WCET(t)
 			res.SlackFound += slk
@@ -132,15 +174,11 @@ func heuristicOpts(s *sched.Schedule, d platform.DVFS, maxPaths int, literalRati
 				res.SlackUsed += wcet/speed - wcet
 			}
 		}
-		if obs != nil {
-			obs(t, slk, s.Speed[t])
-		}
 		// "Stretch τi, lock its schedule and speed": processed tasks leave
 		// the distributable portion of every path they span.
-		locked[t] = true
+		w.locked[t] = true
 	}
-	res.ExpectedEnergy = s.ExpectedEnergy()
-	res.WorstDelay = dag.longest(dag.run(nil))
+	res.WorstDelay = dag.longest(dag.runInto(w.scratch.full, nil))
 	return res, nil
 }
 

@@ -26,41 +26,6 @@ import (
 // approximation with its affected-fraction eligibility rule and pins it with
 // the warm-equivalence property test.
 
-// Workspace holds the reusable buffers of repeated stretching passes over
-// one mapping: the combined-DAG model, the lock vector and the slack DP
-// scratch. Rebind it after every full reschedule (new mapping), then each
-// HeuristicPartial call on that mapping allocates nothing. Not safe for
-// concurrent use.
-type Workspace struct {
-	// Cancel, when non-nil, is polled once per affected task inside
-	// HeuristicPartial (the same granularity as the full heuristic); a
-	// non-nil return aborts the pass with that error. See CancelFunc.
-	Cancel CancelFunc
-
-	dag     *dagModel
-	locked  []bool
-	scratch *slackScratch
-}
-
-// NewWorkspace returns an empty stretch workspace; Rebind must be called
-// before the first HeuristicPartial.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// Rebind rebuilds the workspace's DAG topology from a schedule — required
-// whenever the mapping changed (a full DLS ran or a cached schedule with a
-// different mapping was adopted).
-func (w *Workspace) Rebind(s *sched.Schedule) {
-	w.dag = newDAG(s)
-	n := s.G.NumTasks()
-	if cap(w.locked) < n {
-		w.locked = make([]bool, n)
-	}
-	w.locked = w.locked[:n]
-	if w.scratch == nil || len(w.scratch.full.up) != n {
-		w.scratch = newSlackScratch(n)
-	}
-}
-
 // retarget points the bound DAG at another schedule sharing the same mapping
 // (a warm-start buffer copy): topology, order and communication delays are
 // identical, only the speed-dependent execution times need a refresh.
@@ -78,10 +43,14 @@ func (w *Workspace) retarget(s *sched.Schedule) {
 // counts as locked. The schedule's Speed vector is updated in place.
 //
 // The workspace must have been Rebind-ed to a schedule with the same
-// mapping (s itself, or the incumbent s was copied from). Passing affected
-// all-true reproduces HeuristicGuarded bit for bit — at workspace-reuse
-// cost — which is how the breaker's guard-level changes re-stretch without
-// paying for a new mapping.
+// mapping (s itself, or the incumbent s was copied from). The pass runs the
+// same task loop as the full entry points; the only difference is the
+// starting state — the partial pass resets affected tasks to speed 1, while
+// Heuristic and HeuristicGuarded start from the schedule's current speeds.
+// On an unstretched schedule, affected all-true therefore reproduces
+// HeuristicGuarded bit for bit by construction, at workspace-reuse cost:
+// this is how the adaptive manager stretches a fresh mapping and how the
+// breaker's guard-level changes re-stretch without paying for a new one.
 //
 // Unlike the full heuristic, the partial pass leaves Result.ExpectedEnergy
 // zero: the expected-energy evaluation allocates per cross-PE edge and the
@@ -91,7 +60,7 @@ func HeuristicPartial(s *sched.Schedule, d platform.DVFS, guard float64, affecte
 	if err := d.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := validGuard(guard); err != nil {
+	if err := ValidateGuard(guard); err != nil {
 		return Result{}, err
 	}
 	n := s.G.NumTasks()
@@ -100,47 +69,17 @@ func HeuristicPartial(s *sched.Schedule, d platform.DVFS, guard float64, affecte
 	}
 	if w == nil {
 		w = NewWorkspace()
-		w.Rebind(s)
-	} else if w.dag == nil {
+	}
+	if w.dag == nil {
 		w.Rebind(s)
 	}
 	w.retarget(s)
-	dag := w.dag
 	for t := 0; t < n; t++ {
-		if affected[t] {
-			if s.Speed[t] != 1 {
-				s.Speed[t] = 1
-				dag.refreshExec(ctg.TaskID(t))
-			}
-			w.locked[t] = false
-		} else {
-			w.locked[t] = true
+		if affected[t] && s.Speed[t] != 1 {
+			s.Speed[t] = 1
+			w.dag.refreshExec(ctg.TaskID(t))
 		}
+		w.locked[t] = !affected[t]
 	}
-	var res Result
-	for _, t := range s.Order {
-		if !affected[t] {
-			continue
-		}
-		if w.Cancel != nil {
-			if err := w.Cancel(); err != nil {
-				return Result{}, err
-			}
-		}
-		slk := calculateSlack(dag, t, w.locked, false, w.scratch)
-		if slk > 0 {
-			wcet := s.WCET(t)
-			res.SlackFound += slk
-			speed := d.GuardedSpeedForTime(wcet, wcet+slk, guard)
-			if speed < 1 {
-				s.Speed[t] = speed
-				dag.refreshExec(t)
-				res.Stretched++
-				res.SlackUsed += wcet/speed - wcet
-			}
-		}
-		w.locked[t] = true
-	}
-	res.WorstDelay = dag.longest(dag.runInto(w.scratch.full, nil))
-	return res, nil
+	return w.stretch(s, d, guard, false)
 }

@@ -23,13 +23,9 @@ func TestPartialAllAffectedMatchesGuarded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				affected := make([]bool, got.G.NumTasks())
-				for i := range affected {
-					affected[i] = true
-				}
 				ws := NewWorkspace()
 				ws.Rebind(got)
-				res, err := HeuristicPartial(got, platform.Continuous(), guard, affected, ws)
+				res, err := HeuristicPartial(got, platform.Continuous(), guard, allTasks(got), ws)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,6 +49,15 @@ func TestPartialAllAffectedMatchesGuarded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allTasks returns an all-true affected mask for s.
+func allTasks(s *sched.Schedule) []bool {
+	affected := make([]bool, s.G.NumTasks())
+	for i := range affected {
+		affected[i] = true
+	}
+	return affected
 }
 
 // TestPartialSubsetKeepsDeadline checks deadline safety of genuinely partial

@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the repo's full verification pipeline:
-#   vet, build, the full test suite, tests again under the race detector in
+#   gofmt, vet (root module and the nested perfbench module), build, the full test suite, tests again under the race detector in
 #   short mode (the heavy exp replays honor -short; the race pass is about
 #   concurrency bugs, not numerics), per-package coverage floors for the
 #   adaptive manager and the fault layer, a one-iteration smoke run of every
@@ -26,8 +26,21 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
+
+# perfbench is a nested module: `go list ./...` at the root does not reach
+# it, so its calls into the library are only checked here.
+echo "== go vet (perfbench module) =="
+go -C perfbench vet ./...
 
 # Best-effort vulnerability scan: advisory only, because the container may be
 # offline (govulncheck needs the vuln DB) or the tool may not be installed.
