@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -219,6 +220,57 @@ func TestExplainGoldens(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestProvenanceStreamOracle pins the complete event streams behind the
+// explain fixtures: regenerating both runs live must reproduce the committed
+// JSONL event by event — same kinds, order, seq ids, causes and fields. Span
+// values are wall-clock latencies, so they are zeroed on both sides.
+func TestProvenanceStreamOracle(t *testing.T) {
+	for _, c := range []struct {
+		fixture string
+		live    func(*testing.T) []telemetry.Event
+	}{
+		{"provenance_adaptive.jsonl", adaptiveProvenanceEvents},
+		{"provenance_fleet.jsonl", fleetProvenanceEvents},
+	} {
+		t.Run(c.fixture, func(t *testing.T) {
+			want := zeroSpanValues(loadFixture(t, c.fixture))
+			// Round-trip the live stream through the fixture's own encoding,
+			// so both sides decode identically (nil vs empty slices, floats).
+			var buf bytes.Buffer
+			jr := telemetry.NewJSONLRecorder(&buf)
+			for _, e := range c.live(t) {
+				jr.Record(e)
+			}
+			if err := jr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := health.LoadEvents(buf.Bytes(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = zeroSpanValues(got)
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("event %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("live stream has %d events, fixture %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// zeroSpanValues clears the wall-clock latency of every pipeline span.
+func zeroSpanValues(events []telemetry.Event) []telemetry.Event {
+	for i := range events {
+		if events[i].Kind == telemetry.KindSpan {
+			events[i].Value = 0
+		}
+	}
+	return events
 }
 
 // assertChainKinds checks the causal chain passes through the given kinds in
