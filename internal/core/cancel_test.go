@@ -121,7 +121,7 @@ func TestStepCtxCancelInsideStretch(t *testing.T) {
 		dls := &pollCtx{fuse: 1 << 30}
 		ws := sched.NewWorkspace()
 		ws.Cancel = dls.Err
-		if _, err := sched.DLSInto(m.a, m.p, m.opts.Sched, ws); err != nil {
+		if _, err := sched.DLSInto(m.a, m.p, sched.Modified(), ws); err != nil {
 			t.Fatal(err)
 		}
 		fc := &pollCtx{fuse: full.count() - 1}

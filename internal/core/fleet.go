@@ -45,8 +45,6 @@ type FleetOptions struct {
 	// arm. Nil disables power accounting entirely (pure hosting).
 	Budget     *power.Budget
 	Ungoverned bool
-	// MinPEs floors how many PEs revocation may leave a tenant (default 1).
-	MinPEs int
 	// DeadlineFactor, when positive, resets every tenant's deadline to
 	// factor × the makespan of a full-speed DLS schedule on its partition —
 	// the consolidation analogue of TightenDeadline, guaranteeing each
@@ -118,13 +116,11 @@ type fleetTenant struct {
 	// missGauge/energyGauge publish the tenant's running miss rate
 	// ("adaptive.tenant_miss_rate.<name>") and last round energy
 	// ("adaptive.tenant_round_energy.<name>") — the per-tenant rows of the
-	// watch view. misses/insts back the rate (registry handles aggregate and
-	// cannot be read back).
+	// watch view. agg backs the rate (registry handles aggregate and cannot
+	// be read back).
 	guardGauge  *telemetry.Gauge
 	missGauge   *telemetry.Gauge
 	energyGauge *telemetry.Gauge
-	misses      int
-	insts       int
 }
 
 func (t *fleetTenant) held() int { return len(t.partition) - t.revoked }
@@ -206,12 +202,6 @@ type Fleet struct {
 func NewFleet(tenants []Tenant, opts FleetOptions) (*Fleet, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one tenant")
-	}
-	if opts.MinPEs == 0 {
-		opts.MinPEs = 1
-	}
-	if opts.MinPEs < 1 {
-		return nil, fmt.Errorf("core: fleet MinPEs must be ≥ 1, got %d", opts.MinPEs)
 	}
 	numPEs := tenants[0].P.NumPEs()
 	seen := make(map[string]bool, len(tenants))
@@ -441,11 +431,7 @@ func (f *Fleet) predictTenant(t *fleetTenant, heldPEs []int, guardScale float64)
 	if err != nil {
 		return 0, err
 	}
-	so := t.Opts.Sched
-	if so == (sched.Options{}) {
-		so = sched.Modified()
-	}
-	s, err := sched.DLS(a, rp, so)
+	s, err := sched.DLS(a, rp, sched.Modified())
 	if err != nil {
 		return 0, err
 	}
@@ -459,7 +445,7 @@ func (f *Fleet) predictTenant(t *fleetTenant, heldPEs []int, guardScale float64)
 // buildLadder constructs the degradation rungs and the predicted chip power
 // of every ladder level: guard-release rungs first (fleet-wide, cheapest in
 // harm), then — per tenant, least critical first, the most critical tenant
-// exempt — PE revocations down to MinPEs followed by a shed rung. Each
+// exempt — PE revocations down to one PE followed by a shed rung. Each
 // level's prediction walks the configuration incrementally, recomputing only
 // the tenants the rung touches.
 func (f *Fleet) buildLadder() ([]float64, error) {
@@ -515,7 +501,7 @@ func (f *Fleet) buildLadder() ([]float64, error) {
 	}
 	for _, ti := range f.degradeOrder[:n-1] {
 		t := f.tenants[ti]
-		for held[ti] > f.opts.MinPEs {
+		for held[ti] > 1 {
 			e, err := f.predictTenant(t, t.partition[:held[ti]-1], f.lastGuardScale())
 			if err != nil {
 				break // cannot run on fewer PEs; stop revoking, shed instead
@@ -739,11 +725,7 @@ func (f *Fleet) Step(vectors [][]int) error {
 		}
 		t.agg.add(res.Instance)
 		t.guardGauge.Set(float64(res.GuardLevel))
-		t.insts++
-		if !res.Instance.DeadlineMet {
-			t.misses++
-		}
-		t.missGauge.Set(float64(t.misses) / float64(t.insts))
+		t.missGauge.Set(float64(t.agg.st.Misses) / float64(t.agg.st.Instances))
 		t.energyGauge.Set(res.Instance.Energy)
 		energy += res.Instance.Energy
 	}
@@ -831,24 +813,13 @@ func (f *Fleet) Run(vectors [][][]int) (*FleetResult, error) {
 func (f *Fleet) Result() *FleetResult {
 	res := &FleetResult{Rounds: f.rounds, RoundDuration: f.roundDur}
 	for _, t := range f.tenants {
-		st := t.agg.finish()
-		st.Calls = t.mgr.Calls()
-		cs := t.mgr.CacheStats()
-		st.CacheHits, st.CacheMisses = cs.Hits, cs.Misses
-		st.WarmStarts, st.WarmFallbacks = t.mgr.warm.starts, t.mgr.warm.fallbacks
-		st.FallbackActivations = t.mgr.activations
-		st.MissesAvoided = t.mgr.missesAvoided
-		st.MaxGuardLevel = t.mgr.maxLevelSeen
-		st.DegradedInstances = t.mgr.degradedInsts
-		st.Remaps = t.mgr.remaps
-		st.TopologyMisses = t.mgr.topoMisses
 		res.Tenants = append(res.Tenants, TenantResult{
 			Name:        t.Name,
 			Criticality: t.Criticality,
 			PEs:         t.held(),
 			GrantedPEs:  len(t.partition),
 			ShedRounds:  t.shedRound,
-			Stats:       st,
+			Stats:       t.mgr.runStats(&t.agg),
 		})
 	}
 	switch {

@@ -146,7 +146,6 @@ func TestFleetValidation(t *testing.T) {
 		{"more tenants than PEs", func() []Tenant {
 			return fleetTenants(t, 2, "a", "b", "c")
 		}, FleetOptions{}},
-		{"negative MinPEs", good, FleetOptions{MinPEs: -1}},
 		{"bad budget cap", good, FleetOptions{Budget: &power.Budget{Cap: -5}}},
 		{"nan budget cap", good, FleetOptions{Budget: &power.Budget{Cap: math.NaN()}}},
 	}

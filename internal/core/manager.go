@@ -41,9 +41,6 @@ type Options struct {
 	Threshold float64
 	// DVFS is the speed-scaling model (default continuous).
 	DVFS platform.DVFS
-	// Sched selects the mapping/ordering algorithm (default the paper's
-	// modified DLS).
-	Sched sched.Options
 	// PerScenario replaces the paper's single-speed stretching with the
 	// scenario-conditioned extension (stretch.PerScenario): every
 	// re-schedule computes a speed table indexed by leaf scenario, and
@@ -68,12 +65,6 @@ type Options struct {
 	// order) what a full recompute would assign. See internal/core
 	// warmstart.go and DESIGN.md.
 	WarmStart bool
-	// WarmMaxForks bounds how many forks may drift in one reschedule for the
-	// warm path to engage; zero selects DefaultWarmMaxForks.
-	WarmMaxForks int
-	// WarmMaxAffected bounds the affected fraction of the task set; zero
-	// selects DefaultWarmMaxAffected.
-	WarmMaxAffected float64
 
 	// GuardBand ∈ [0,1] reserves that fraction of every task's slack as
 	// overrun margin during stretching (the guard argument of
@@ -116,10 +107,10 @@ type Options struct {
 	// the simulator), per-fork window estimates, re-scheduling decisions
 	// with cache outcome, stretch-pass summaries, fault overruns, fallback
 	// activations and circuit-breaker level changes. Nil (the default)
-	// disables the stream entirely: every emission site is nil-guarded
-	// before any event is built, so the disabled path adds one branch and
-	// zero allocations and the runtime's outputs are bit-for-bit identical
-	// to a recorder-free build.
+	// disables the stream entirely: nothing is recorded, no event payload is
+	// allocated (sites that copy or format data check for a recorder first),
+	// and the runtime's outputs are bit-for-bit identical to a recorder-free
+	// build.
 	Recorder telemetry.Recorder
 	// Metrics, when non-nil, is the registry the manager publishes its
 	// counters, gauges and latency/makespan histograms to (metric names
@@ -175,9 +166,6 @@ func (o *Options) applyDefaults() {
 	if o.Threshold == 0 && !o.thresholdSet {
 		o.Threshold = DefaultThreshold
 	}
-	if o.Sched == (sched.Options{}) {
-		o.Sched = sched.Modified()
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = DefaultCacheSize
 	}
@@ -186,12 +174,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.MissRateBound == 0 {
 		o.MissRateBound = DefaultMissRateBound
-	}
-	if o.WarmMaxForks == 0 {
-		o.WarmMaxForks = DefaultWarmMaxForks
-	}
-	if o.WarmMaxAffected == 0 {
-		o.WarmMaxAffected = DefaultWarmMaxAffected
 	}
 }
 
@@ -257,17 +239,13 @@ type Manager struct {
 	missesTotal int
 
 	// Provenance state (live only while rec != nil): the sequencer stamping
-	// event ids, the seq of the current instance's instance_start, the
-	// trigger seq the in-flight reschedule pipeline chains its decision
-	// events to, an externally imposed cause (a Fleet's ladder decision —
-	// set around SetGuardBand/ApplyAvailability calls), and the per-fork
-	// seqs of this step's window-estimate events (so a drift-triggered
-	// reschedule can name the estimate that crossed the threshold).
+	// event ids, the trigger seq the in-flight reschedule pipeline chains
+	// its decision events to, and an externally imposed cause (a Fleet's
+	// ladder decision — set around SetGuardBand/ApplyAvailability calls).
+	// Per-step ids (the instance_start, the estimates) live in Step's locals.
 	seq      *telemetry.Sequencer
-	startSeq uint64
 	causeSeq uint64
 	extCause uint64
-	estSeqs  []uint64
 
 	// Fault-tolerance state (inert unless Options.Recovery / Faults set).
 	fallback      *sched.Schedule // precomputed full-speed worst-case schedule
@@ -427,9 +405,9 @@ type RunStats struct {
 	MakespanP50, MakespanP95, MakespanP99 float64
 }
 
-// runAgg accumulates RunStats over a replayed instance sequence. Run and
-// RunStaticCfg share it so the adaptive and static runtimes aggregate — and
-// round — identically. The plain-sum fields are updated in the same order the
+// runAgg accumulates RunStats over a replayed instance sequence. Run, Fleet
+// and RunStaticFailover share it so the adaptive and static runtimes
+// aggregate — and round — identically. The plain-sum fields are updated in the same order the
 // pre-telemetry runtime used, keeping accumulated floats bit-for-bit.
 type runAgg struct {
 	st       RunStats
@@ -548,18 +526,8 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	m.initWarm()
 	m.dlsWS = sched.NewWorkspace()
 	if opts.Recovery {
-		// The worst-case fallback: plain full-speed DLS, never stretched,
-		// built once and bypassing the probability-keyed cache entirely (it
-		// is probability-independent by construction — every task runs at
-		// speed 1 — so caching it under a probability key would be both
-		// wrong and polluting).
-		fb, err := sched.DLS(m.a, m.p, m.opts.Sched)
-		if err != nil {
+		if err := m.buildFallback(); err != nil {
 			return nil, err
-		}
-		m.fallback = fb
-		if !m.degraded {
-			m.healthyFallback = fb
 		}
 		m.missRing = make([]bool, opts.MissWindow)
 	}
@@ -589,10 +557,35 @@ func (m *Manager) effectiveGuard() float64 {
 	return g
 }
 
+// buildFallback points the fallback at the worst-case schedule for the
+// platform in force: plain full-speed DLS, never stretched. It bypasses the
+// probability-keyed cache (every task runs at speed 1, so the schedule is
+// probability-independent and a probability key would be both wrong and
+// polluting), and the full-topology fallback is built once and reused
+// whenever a transient outage heals.
+func (m *Manager) buildFallback() error {
+	if !m.degraded && m.healthyFallback != nil {
+		m.fallback = m.healthyFallback
+		return nil
+	}
+	fb, err := sched.DLS(m.a, m.p, sched.Modified())
+	if err != nil {
+		return err
+	}
+	m.fallback = fb
+	if !m.degraded {
+		m.healthyFallback = fb
+	}
+	return nil
+}
+
 // emit stamps the event with the next sequence id and records it, returning
-// the id so the event can be named as the Cause of its effects. Callers must
-// have checked m.rec != nil (the provenance state only exists then).
+// the id so the event can be named as the Cause of its effects. Without a
+// recorder it records nothing and returns 0.
 func (m *Manager) emit(ev telemetry.Event) uint64 {
+	if m.rec == nil {
+		return 0
+	}
 	ev.Seq = m.seq.Next()
 	m.rec.Record(ev)
 	return ev.Seq
@@ -607,12 +600,10 @@ func (m *Manager) emit(ev telemetry.Event) uint64 {
 func (m *Manager) span(phase string, h *telemetry.HistogramMetric, start time.Time) {
 	us := float64(time.Since(start)) / float64(time.Microsecond)
 	h.Observe(us)
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind: telemetry.KindSpan, Instance: m.instances,
-			Name: phase, Value: us, Cause: m.causeSeq,
-		})
-	}
+	m.emit(telemetry.Event{
+		Kind: telemetry.KindSpan, Instance: m.instances,
+		Name: phase, Value: us, Cause: m.causeSeq,
+	})
 }
 
 // GuardLevel returns the circuit breaker's current escalation level.
@@ -708,20 +699,11 @@ func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 	// path, but a partition-restricted base (consolidation) is healthy at
 	// its partition mask, not at the full fabric it never owned.
 	m.degraded = !cur.Equal(m.base.AvailabilityMask(), m.base.NumPEs())
+	// Only the recovery machinery keeps a fallback; rebuilding one for a
+	// manager that never had it would silently enable fallback replays.
 	if m.opts.Recovery {
-		// Only the recovery machinery keeps a fallback; rebuilding one for a
-		// manager that never had it would silently enable fallback replays.
-		if m.degraded || m.healthyFallback == nil {
-			fb, err := sched.DLS(m.a, m.p, m.opts.Sched)
-			if err != nil {
-				return err
-			}
-			m.fallback = fb
-			if !m.degraded {
-				m.healthyFallback = fb
-			}
-		} else {
-			m.fallback = m.healthyFallback
+		if err := m.buildFallback(); err != nil {
+			return err
 		}
 	}
 	reason := "restored"
@@ -733,12 +715,10 @@ func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 		return err
 	}
 	m.remaps++
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind: telemetry.KindRemap, Instance: instance,
-			Reason: reason, Alive: m.p.NumAlivePEs(), Cause: topoSeq,
-		})
-	}
+	m.emit(telemetry.Event{
+		Kind: telemetry.KindRemap, Instance: instance,
+		Reason: reason, Alive: m.p.NumAlivePEs(), Cause: topoSeq,
+	})
 	return nil
 }
 
@@ -843,7 +823,7 @@ func (m *Manager) reschedule(reason string) error {
 	}
 	dlsStart := time.Now()
 	m.dlsWS.Cancel = m.cancel
-	s, err := sched.DLSInto(m.a, m.p, m.opts.Sched, m.dlsWS)
+	s, err := sched.DLSInto(m.a, m.p, sched.Modified(), m.dlsWS)
 	if err != nil {
 		return err
 	}
@@ -1005,18 +985,9 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 			remapped = true
 		}
 	}
-	if m.rec != nil {
-		m.startSeq = m.emit(telemetry.Event{Kind: telemetry.KindInstanceStart, Instance: idx, Scenario: si})
-		// Estimate seqs are per-step: forks inactive this instance must not
-		// leave a stale id for the drift trigger to pick up.
-		if m.estSeqs == nil {
-			m.estSeqs = make([]uint64, len(m.g.Forks()))
-		}
-		for i := range m.estSeqs {
-			m.estSeqs[i] = 0
-		}
-	}
-	var cfg sim.Config
+	// Replay on the incumbent schedule.
+	startSeq := m.emit(telemetry.Event{Kind: telemetry.KindInstanceStart, Instance: idx, Scenario: si})
+	cfg := sim.Config{Recorder: m.rec, InstanceID: idx, Seq: m.seq, Cause: startSeq}
 	if m.speeds != nil {
 		cfg.ScenarioSpeeds = m.speeds.Speeds
 	}
@@ -1025,26 +996,23 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 		cfg.FaultInstance = m.faultInstance
 		m.faultInstance++
 	}
-	cfg.Recorder = m.rec
-	cfg.InstanceID = idx
-	cfg.Seq = m.seq
-	cfg.Cause = m.startSeq
 	inst, err := sim.ReplayCfg(m.schedule, si, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
 	res := StepResult{Instance: inst, Degraded: m.degraded, Remapped: remapped, Rescheduled: remapped}
-	primaryMiss := !inst.DeadlineMet
-	var fbSeq uint64 // the fallback decision, when one fired this step
-	if primaryMiss && m.fallback != nil {
+	// A breaker move chains to the fallback when one fired (the miss that
+	// tipped the window), to the instance otherwise (e.g. a relaxation on a
+	// clean run).
+	breakerCause := startSeq
+	if !inst.DeadlineMet && m.fallback != nil {
 		// Recovery: re-run the instance at full speed on the worst-case
 		// fallback schedule. The same fault instance applies — the overruns
 		// that sank the primary run hit the fallback too, but without
 		// stretching the timeline has the full static slack to absorb them.
-		fcfg := cfg
-		fcfg.ScenarioSpeeds = nil
-		fcfg.Phase = telemetry.PhaseFallback
-		fb, err := sim.ReplayCfg(m.fallback, si, fcfg)
+		cfg.ScenarioSpeeds = nil
+		cfg.Phase = telemetry.PhaseFallback
+		fb, err := sim.ReplayCfg(m.fallback, si, cfg)
 		if err != nil {
 			return StepResult{}, err
 		}
@@ -1057,25 +1025,23 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 			m.missesAvoided++
 			m.mm.missesAvoided.Inc()
 		}
-		if m.rec != nil {
-			// Makespan is the fallback re-run's; Makespan2 keeps the failed
-			// primary timeline for comparison. The cause is the primary
-			// replay that missed (its overruns are the instance's
-			// fault_overrun events).
-			fbSeq = m.emit(telemetry.Event{
-				Kind:      telemetry.KindFallback,
-				Instance:  idx,
-				Met:       fb.DeadlineMet,
-				Makespan:  fb.Makespan,
-				Makespan2: inst.Makespan,
-				Phase:     telemetry.PhaseFallback,
-				Cause:     m.startSeq,
-			})
-		}
+		// Makespan is the fallback re-run's; Makespan2 keeps the failed
+		// primary timeline for comparison. The cause is the primary replay
+		// that missed (its overruns are the instance's fault_overrun events).
+		breakerCause = m.emit(telemetry.Event{
+			Kind:      telemetry.KindFallback,
+			Instance:  idx,
+			Met:       fb.DeadlineMet,
+			Makespan:  fb.Makespan,
+			Makespan2: inst.Makespan,
+			Phase:     telemetry.PhaseFallback,
+			Cause:     startSeq,
+		})
 	}
-	// Only executed branch forks produce observable decisions.
+	// Observe: only executed branch forks produce observable decisions.
 	active := m.a.Scenario(inst.Scenario).Active
-	for fi, fork := range m.g.Forks() {
+	forks := m.g.Forks()
+	for fi, fork := range forks {
 		if !active.Get(int(fork)) {
 			continue
 		}
@@ -1084,83 +1050,59 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 		}
 	}
 	res.Drift = m.profiler.MaxDrift()
-	if m.rec != nil {
-		// One window-estimate update per fork that actually executed (the
-		// others observed nothing this instance).
-		for fi, fork := range m.g.Forks() {
-			if !active.Get(int(fork)) {
-				continue
-			}
-			m.estSeqs[fi] = m.emit(telemetry.Event{
+	// Decide: one window-estimate event per fork that executed (the others
+	// observed nothing), and the paper's update — only the branches whose
+	// estimate crossed the threshold adopt the new value ("the branch
+	// probability is updated with this new value"), and any update triggers
+	// one re-scheduling, caused by the first crossing fork's estimate.
+	updated := false
+	var trigSeq uint64
+	for fi, fork := range forks {
+		var estSeq uint64
+		if m.rec != nil && active.Get(int(fork)) {
+			estSeq = m.emit(telemetry.Event{
 				Kind:     telemetry.KindEstimate,
 				Instance: idx,
 				Fork:     fi,
 				Probs:    m.profiler.Estimate(fi),
 				Drift:    res.Drift,
 				Outcome:  decisions[fi],
-				Cause:    m.startSeq,
+				Cause:    startSeq,
 			})
 		}
-	}
-	prevLevel := m.guardLevel
-	breakerMoved := false
-	if m.fallback != nil {
-		breakerMoved = m.recordPrimaryOutcome(primaryMiss)
-	}
-	var glSeq uint64 // the breaker move, when one fired this step
-	if breakerMoved {
-		m.mm.guardLevel.Set(float64(m.guardLevel))
-		m.mm.maxGuardLevel.SetMax(float64(m.guardLevel))
-		if m.rec != nil {
-			// The breaker moved on this step's windowed outcome: chain to
-			// the fallback when one fired (the miss that tipped the window),
-			// to the instance otherwise (e.g. a relaxation on a clean run).
-			cause := m.startSeq
-			if fbSeq != 0 {
-				cause = fbSeq
-			}
-			glSeq = m.emit(telemetry.Event{
-				Kind:      telemetry.KindGuardLevel,
-				Instance:  idx,
-				Level:     m.guardLevel,
-				Level2:    prevLevel,
-				Threshold: m.opts.MissRateBound,
-				Cause:     cause,
-			})
+		if !m.crossed(fi, fork) {
+			continue
 		}
-	}
-	// Update only the branches whose estimate crossed the threshold (the
-	// paper's "the branch probability is updated with this new value");
-	// any update triggers one re-scheduling. The comparison is inclusive:
-	// see FilteredSeries for why "crosses" must admit equality.
-	updated := false
-	var trigSeq uint64 // the first threshold-crossing fork's estimate event
-	for fi, fork := range m.g.Forks() {
-		crossed := false
-		for k := 0; k < m.profiler.NumOutcomes(fi); k++ {
-			d := m.profiler.EstimateAt(fi, k) - m.g.BranchProb(fork, k)
-			if d < 0 {
-				d = -d
-			}
-			if d >= m.opts.Threshold-1e-12 {
-				crossed = true
-				break
-			}
+		if trigSeq == 0 {
+			trigSeq = estSeq
 		}
-		if crossed {
-			if trigSeq == 0 && m.rec != nil {
-				trigSeq = m.estSeqs[fi]
-			}
-			m.probsBuf = m.profiler.SmoothedEstimateInto(fi, m.probsBuf[:0])
-			if err := m.g.SetBranchProbs(fork, m.probsBuf); err != nil {
-				return StepResult{}, err
-			}
-			updated = true
+		m.probsBuf = m.profiler.SmoothedEstimateInto(fi, m.probsBuf[:0])
+		if err := m.g.SetBranchProbs(fork, m.probsBuf); err != nil {
+			return StepResult{}, err
 		}
+		updated = true
 	}
 	if updated {
 		m.a.Reweight()
 	}
+	prevLevel := m.guardLevel
+	breakerMoved := m.fallback != nil && m.recordPrimaryOutcome(!inst.DeadlineMet)
+	var glSeq uint64
+	if breakerMoved {
+		m.mm.guardLevel.Set(float64(m.guardLevel))
+		m.mm.maxGuardLevel.SetMax(float64(m.guardLevel))
+		glSeq = m.emit(telemetry.Event{
+			Kind:      telemetry.KindGuardLevel,
+			Instance:  idx,
+			Level:     m.guardLevel,
+			Level2:    prevLevel,
+			Threshold: m.opts.MissRateBound,
+			Cause:     breakerCause,
+		})
+	}
+	// Reschedule, chained to the estimate that crossed the threshold when
+	// drift triggered (or contributed), else to the breaker move that forced
+	// the re-stretch.
 	if updated || breakerMoved {
 		reason := "drift"
 		switch {
@@ -1169,12 +1111,8 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 		case breakerMoved:
 			reason = "breaker"
 		}
-		// The decision's provenance: the estimate that crossed the
-		// threshold when drift triggered (or contributed), else the breaker
-		// move that forced the re-stretch.
-		if updated && trigSeq != 0 {
-			m.causeSeq = trigSeq
-		} else if breakerMoved {
+		m.causeSeq = trigSeq
+		if m.causeSeq == 0 {
 			m.causeSeq = glSeq
 		}
 		if err := m.reschedule(reason); err != nil {
@@ -1183,48 +1121,65 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 		res.Rescheduled = true
 	}
 	res.GuardLevel = m.guardLevel
+	m.account(idx, startSeq, &res)
+	return res, nil
+}
+
+// crossed reports whether any outcome of the fork's windowed estimate has
+// moved at least the threshold away from the graph's schedule-time
+// probability. The comparison is inclusive: see FilteredSeries for why
+// "crosses" must admit equality.
+func (m *Manager) crossed(fi int, fork ctg.TaskID) bool {
+	for k := 0; k < m.profiler.NumOutcomes(fi); k++ {
+		if math.Abs(m.profiler.EstimateAt(fi, k)-m.g.BranchProb(fork, k)) >= m.opts.Threshold-1e-12 {
+			return true
+		}
+	}
+	return false
+}
+
+// account closes one processed instance: the manager's counters and
+// metrics, the instance_finish event, and the time-series tick at this
+// instance boundary (the sim-time axis), chained to that event so alert
+// firings name the instance that tripped them.
+func (m *Manager) account(idx int, startSeq uint64, res *StepResult) {
+	inst := &res.Instance
 	m.instances++
 	m.mm.instances.Inc()
 	if m.degraded {
 		m.degradedInsts++
-		if !res.Instance.DeadlineMet {
+		if !inst.DeadlineMet {
 			m.topoMisses++
 		}
 	}
-	if !res.Instance.DeadlineMet {
+	if !inst.DeadlineMet {
 		m.mm.misses.Inc()
 		m.missesTotal++
 	}
-	if res.Instance.Overruns > 0 {
-		m.mm.overruns.Add(int64(res.Instance.Overruns))
+	if inst.Overruns > 0 {
+		m.mm.overruns.Add(int64(inst.Overruns))
 	}
-	m.mm.lateness.Observe(res.Instance.Lateness)
-	m.mm.makespan.Observe(res.Instance.Makespan)
+	m.mm.lateness.Observe(inst.Lateness)
+	m.mm.makespan.Observe(inst.Makespan)
 	m.mm.drift.Set(res.Drift)
 	m.mm.missRate.Set(float64(m.missesTotal) / float64(m.instances))
-	var finSeq uint64
-	if m.rec != nil {
-		finSeq = m.emit(telemetry.Event{
-			Kind:        telemetry.KindInstanceFinish,
-			Instance:    idx,
-			Scenario:    res.Instance.Scenario,
-			Energy:      res.Instance.Energy,
-			Makespan:    res.Instance.Makespan,
-			Lateness:    res.Instance.Lateness,
-			Met:         res.Instance.DeadlineMet,
-			Overruns:    res.Instance.Overruns,
-			Rescheduled: res.Rescheduled,
-			Drift:       res.Drift,
-			Level:       m.guardLevel,
-			Cause:       m.startSeq,
-		})
-	}
-	// Sample the time-series store at this instance boundary (the sim-time
-	// axis), chaining any alert firing to the instance_finish above.
+	finSeq := m.emit(telemetry.Event{
+		Kind:        telemetry.KindInstanceFinish,
+		Instance:    idx,
+		Scenario:    inst.Scenario,
+		Energy:      inst.Energy,
+		Makespan:    inst.Makespan,
+		Lateness:    inst.Lateness,
+		Met:         inst.DeadlineMet,
+		Overruns:    inst.Overruns,
+		Rescheduled: res.Rescheduled,
+		Drift:       res.Drift,
+		Level:       m.guardLevel,
+		Cause:       startSeq,
+	})
 	if m.opts.Series != nil {
 		m.opts.Series.Tick(idx, m.rec, m.seq, finSeq)
 	}
-	return res, nil
 }
 
 // recordPrimaryOutcome shifts one primary-schedule outcome into the circuit
@@ -1279,6 +1234,13 @@ func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 		}
 		agg.add(r.Instance)
 	}
+	return m.runStats(&agg), nil
+}
+
+// runStats completes an aggregate of this manager's instances with the
+// manager's own counters: calls, cache and warm-start outcomes, recovery and
+// topology accounting.
+func (m *Manager) runStats(agg *runAgg) RunStats {
 	st := agg.finish()
 	st.Calls = m.calls
 	cs := m.CacheStats()
@@ -1290,21 +1252,44 @@ func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 	st.DegradedInstances = m.degradedInsts
 	st.Remaps = m.remaps
 	st.TopologyMisses = m.topoMisses
-	return st, nil
+	return st
 }
 
 // RunStatic replays a decision-vector sequence against a fixed schedule —
 // the paper's non-adaptive "online algorithm", which profiles once (the
 // probabilities baked into the schedule) and never adapts.
 func RunStatic(s *sched.Schedule, vectors [][]int) (RunStats, error) {
-	return RunStaticCfg(s, vectors, sim.Config{})
+	return RunStaticFailover(s, vectors, nil, sim.Config{})
 }
 
 // RunStaticCfg is RunStatic with simulator options — in particular a fault
 // plan, whose instance cursor advances once per vector (vector i is plan
 // instance i, matching the adaptive manager's cursor so the two runtimes
-// face the identical perturbation sequence).
+// face the identical perturbation sequence). It is RunStaticFailover with no
+// failure timeline.
 func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats, error) {
+	return RunStaticFailover(s, vectors, nil, cfg)
+}
+
+// RunStaticFailover replays a decision-vector sequence against a fixed
+// schedule while the hardware degrades per the failure timeline — the static
+// baseline of the failover campaign. The static runtime cannot re-map: when
+// the mask at an instance hides a PE hosting one of the scenario's active
+// tasks, or a link carrying one of its transfers, the instance deadlocks.
+// By convention a deadlocked instance counts as a deadline miss with
+// lateness equal to one full deadline (the work never completes; charging
+// exactly one period keeps the lateness totals finite and comparable) and
+// the nominal replay's energy (the dispatch is attempted, then stalls); it
+// also increments TopologyMisses. Instances whose active set happens to
+// avoid the masked hardware execute normally. A nil timeline never degrades.
+// With cfg.Recorder set, every instance is bracketed by instance_start and
+// instance_finish events.
+func RunStaticFailover(s *sched.Schedule, vectors [][]int, tl *faults.Timeline, cfg sim.Config) (RunStats, error) {
+	if tl != nil && tl.NumPEs() != s.P.NumPEs() {
+		return RunStats{}, fmt.Errorf("core: failure timeline sized for %d PEs, platform has %d",
+			tl.NumPEs(), s.P.NumPEs())
+	}
+	deadline := s.G.Deadline()
 	var agg runAgg
 	for i, v := range vectors {
 		si, err := s.A.ScenarioForDecisions(v)
@@ -1323,6 +1308,17 @@ func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats,
 		if err != nil {
 			return agg.st, err
 		}
+		if tl != nil {
+			if mask := tl.MaskAt(i); !mask.IsFull() {
+				agg.st.DegradedInstances++
+				if staticDeadlocked(s, si, mask) {
+					inst.DeadlineMet = false
+					inst.Lateness = deadline
+					inst.Makespan = deadline
+					agg.st.TopologyMisses++
+				}
+			}
+		}
 		if ci.Recorder != nil {
 			ci.Recorder.Record(telemetry.Event{
 				Kind:     telemetry.KindInstanceFinish,
@@ -1338,60 +1334,6 @@ func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats,
 		agg.add(inst)
 	}
 	return agg.finish(), nil
-}
-
-// RunStaticFailover replays a decision-vector sequence against a fixed
-// schedule while the hardware degrades per the failure timeline — the static
-// baseline of the failover campaign. The static runtime cannot re-map: when
-// the mask at an instance hides a PE hosting one of the scenario's active
-// tasks, or a link carrying one of its transfers, the instance deadlocks.
-// By convention a deadlocked instance counts as a deadline miss with
-// lateness equal to one full deadline (the work never completes; charging
-// exactly one period keeps the lateness totals finite and comparable) and
-// the nominal replay's energy (the dispatch is attempted, then stalls); it
-// also increments TopologyMisses. Instances whose active set happens to
-// avoid the masked hardware execute normally.
-func RunStaticFailover(s *sched.Schedule, vectors [][]int, tl *faults.Timeline, cfg sim.Config) (RunStats, error) {
-	if tl == nil {
-		return RunStaticCfg(s, vectors, cfg)
-	}
-	if tl.NumPEs() != s.P.NumPEs() {
-		return RunStats{}, fmt.Errorf("core: failure timeline sized for %d PEs, platform has %d",
-			tl.NumPEs(), s.P.NumPEs())
-	}
-	deadline := s.G.Deadline()
-	var agg runAgg
-	var degraded, topoMisses int
-	for i, v := range vectors {
-		si, err := s.A.ScenarioForDecisions(v)
-		if err != nil {
-			return agg.st, err
-		}
-		ci := cfg
-		if ci.Faults != nil {
-			ci.FaultInstance = i
-		}
-		ci.InstanceID = i
-		inst, err := sim.ReplayCfg(s, si, ci)
-		if err != nil {
-			return agg.st, err
-		}
-		mask := tl.MaskAt(i)
-		if !mask.IsFull() {
-			degraded++
-			if staticDeadlocked(s, si, mask) {
-				inst.DeadlineMet = false
-				inst.Lateness = deadline
-				inst.Makespan = deadline
-				topoMisses++
-			}
-		}
-		agg.add(inst)
-	}
-	st := agg.finish()
-	st.DegradedInstances = degraded
-	st.TopologyMisses = topoMisses
-	return st, nil
 }
 
 // staticDeadlocked reports whether the scenario's execution under the fixed
@@ -1439,12 +1381,11 @@ func TightenDeadline(g *ctg.Graph, p *platform.Platform, factor float64) (*ctg.G
 // branch probabilities hold the profiled values: modified DLS followed by
 // the stretching heuristic.
 func BuildOnline(g *ctg.Graph, p *platform.Platform, opts Options) (*sched.Schedule, error) {
-	opts.applyDefaults()
 	a, err := ctg.Analyze(g)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.DLS(a, p, opts.Sched)
+	s, err := sched.DLS(a, p, sched.Modified())
 	if err != nil {
 		return nil, err
 	}

@@ -164,3 +164,42 @@ func TestRunStatsPercentiles(t *testing.T) {
 		t.Fatalf("static percentiles broken: %+v", sst)
 	}
 }
+
+// TestDriftRescheduleCausedByFirstCrossingEstimate pins the drift trigger's
+// provenance: at T = 0 every fork crosses on every step, so each drift
+// reschedule must name the instance's first window-estimate event — the
+// lowest-indexed executed fork — even when later forks crossed too.
+func TestDriftRescheduleCausedByFirstCrossingEstimate(t *testing.T) {
+	g, p := telemetryWorkload(t, 11)
+	rec := telemetry.NewMemoryRecorder()
+	opts := Options{Window: 10, Recorder: rec}
+	opts.SetThreshold(0)
+	m, err := New(g, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(trace.Fluctuating(g, 7, 30, 0.4)); err != nil {
+		t.Fatal(err)
+	}
+	firstEst := map[int]uint64{}
+	ests := map[int]int{}
+	multi := false
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.Kind == telemetry.KindEstimate:
+			if firstEst[ev.Instance] == 0 {
+				firstEst[ev.Instance] = ev.Seq
+			}
+			ests[ev.Instance]++
+		case ev.Kind == telemetry.KindReschedule && ev.Reason == "drift":
+			if want := firstEst[ev.Instance]; ev.Cause != want {
+				t.Fatalf("instance %d: drift reschedule caused by seq %d, want first estimate %d",
+					ev.Instance, ev.Cause, want)
+			}
+			multi = multi || ests[ev.Instance] > 1
+		}
+	}
+	if !multi {
+		t.Fatal("no drift reschedule followed several estimates; the test pins nothing")
+	}
+}

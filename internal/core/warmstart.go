@@ -32,22 +32,22 @@ import (
 // result whose worst-case delay exceeds the deadline.
 //
 // Fallback to a full recompute happens when: the incumbent state is unknown
-// (initial/topology reschedules), too many forks changed (> WarmMaxForks),
-// the affected set is too large a fraction of the graph (> WarmMaxAffected),
+// (initial/topology reschedules), too many forks changed (> warmMaxForks),
+// the affected set is too large a fraction of the graph (> warmMaxAffected),
 // or the warm result fails validation. Warm results are never cached: the
 // cache's contract is that a hit is bit-for-bit what a fresh recompute would
 // produce, which warm results approximate but do not guarantee.
 
-// DefaultWarmMaxForks bounds how many forks may drift in one reschedule for
-// the warm path to engage.
-const DefaultWarmMaxForks = 3
-
-// DefaultWarmMaxAffected bounds the affected fraction of the task set:
-// beyond it a full recompute is both safer and barely slower.
-const DefaultWarmMaxAffected = 0.5
-
-// warmEps is the deadline-validation tolerance of the warm path.
-const warmEps = 1e-9
+const (
+	// warmMaxForks bounds how many forks may drift in one reschedule for
+	// the warm path to engage.
+	warmMaxForks = 3
+	// warmMaxAffected bounds the affected fraction of the task set: beyond
+	// it a full recompute is both safer and barely slower.
+	warmMaxAffected = 0.5
+	// warmEps is the deadline-validation tolerance of the warm path.
+	warmEps = 1e-9
+)
 
 // warmState carries the incumbent-schedule bookkeeping of the warm path.
 type warmState struct {
@@ -231,11 +231,11 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 			w.affected[t] = true
 		}
 	} else {
-		if len(changed) > m.opts.WarmMaxForks {
+		if len(changed) > warmMaxForks {
 			return m.warmFallback()
 		}
 		count := m.markAffected(changed)
-		if float64(count) > m.opts.WarmMaxAffected*float64(m.g.NumTasks()) {
+		if float64(count) > warmMaxAffected*float64(m.g.NumTasks()) {
 			return m.warmFallback()
 		}
 	}

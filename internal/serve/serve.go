@@ -153,6 +153,7 @@ type serverMetrics struct {
 	panics          *telemetry.Counter
 	restarts        *telemetry.Counter
 	checkpoints     *telemetry.Counter
+	ckptFailures    *telemetry.Counter
 	restores        *telemetry.Counter
 	tenantsGauge    *telemetry.Gauge
 	stepUS          *telemetry.HistogramMetric
@@ -170,6 +171,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		panics:          reg.Counter("serve.panics"),
 		restarts:        reg.Counter("serve.restarts"),
 		checkpoints:     reg.Counter("serve.checkpoints"),
+		ckptFailures:    reg.Counter("serve.checkpoint_failures"),
 		restores:        reg.Counter("serve.restores"),
 		tenantsGauge:    reg.Gauge("serve.tenants"),
 		stepUS:          reg.Histogram("serve.step_us", 0, 1e6, 64),
@@ -331,7 +333,8 @@ func (s *Server) buildFromPayload(pay *snapshotPayload, from string) (*tenant, e
 
 // CreateTenant admits a new tenant and starts its worker. When checkpointing
 // is enabled an initial snapshot is written immediately, so a daemon killed
-// before the first periodic checkpoint still restores the tenant.
+// before the first periodic checkpoint still restores the tenant; if that
+// write fails the tenant is removed again and the error returned.
 func (s *Server) CreateTenant(spec TenantSpec) (TenantStatus, error) {
 	if s.closed.Load() {
 		return TenantStatus{}, ErrClosed
@@ -350,9 +353,16 @@ func (s *Server) CreateTenant(spec TenantSpec) (TenantStatus, error) {
 	s.metrics.tenantsGauge.Set(float64(len(s.tenants)))
 	s.mu.Unlock()
 	t.stMu.Lock()
-	t.checkpointLocked()
+	err = t.checkpointLocked()
 	t.stMu.Unlock()
 	t.start()
+	if err != nil {
+		// A tenant without its initial snapshot would not survive a restart,
+		// so it is not kept. The only error RemoveTenant reports is that a
+		// concurrent removal got there first, which leaves the same state.
+		_ = s.RemoveTenant(spec.Name)
+		return TenantStatus{}, fmt.Errorf("serve: initial checkpoint of %s: %w", spec.Name, err)
+	}
 	return t.statusSnapshot(), nil
 }
 

@@ -609,3 +609,53 @@ func TestCloseRejectsAndCheckpoints(t *testing.T) {
 		t.Fatalf("final snapshot has %d instances, want 5", pay.Instances)
 	}
 }
+
+// breakCheckpointDir replaces the checkpoint directory with a regular file,
+// so every later snapshot write fails with ENOTDIR (even when run as root).
+func breakCheckpointDir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCreateTenantReportsInitialCheckpointFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	s := mustServer(t, Options{CheckpointDir: dir})
+	breakCheckpointDir(t, dir)
+	if _, err := s.CreateTenant(mpegSpec("a")); err == nil {
+		t.Fatal("CreateTenant succeeded without its initial snapshot")
+	}
+	if sts := s.Tenants(); len(sts) != 0 {
+		t.Fatalf("tenant kept after a failed initial snapshot: %+v", sts)
+	}
+	if _, err := s.Step(context.Background(), "a", testVectors(t, 1)[0], ChaosSpec{}); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("want ErrUnknownTenant for the dropped tenant, got %v", err)
+	}
+}
+
+func TestPeriodicCheckpointFailureIsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	s := mustServer(t, Options{CheckpointDir: dir, CheckpointEvery: 2})
+	mustCreate(t, s, mpegSpec("a"))
+	breakCheckpointDir(t, dir)
+	for i, v := range testVectors(t, 5) {
+		rep, err := s.Step(context.Background(), "a", v, ChaosSpec{})
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if rep.Instance != i {
+			t.Fatalf("step %d replied instance %d", i, rep.Instance)
+		}
+	}
+	// Steps 2 and 4 were due a snapshot; both writes failed.
+	if got := s.reg.Counter("serve.checkpoint_failures").Value(); got != 2 {
+		t.Fatalf("serve.checkpoint_failures = %d, want 2", got)
+	}
+	if got := s.reg.Counter("serve.checkpoints").Value(); got != 1 {
+		t.Fatalf("serve.checkpoints = %d, want 1 (the initial snapshot)", got)
+	}
+}

@@ -329,8 +329,12 @@ func (t *tenant) step(req *stepReq) (StepReply, error) {
 		GuardLevel:   res.GuardLevel,
 		Degraded:     res.Degraded,
 	}
+	// The step is applied and logged whether or not its periodic snapshot
+	// lands; a failed write leaves the previous snapshot as restore point.
 	if every := t.srv.opts.CheckpointEvery; every > 0 && len(t.log)%every == 0 {
-		t.checkpointLocked()
+		if t.checkpointLocked() != nil {
+			t.srv.metrics.ckptFailures.Inc()
+		}
 	}
 	return rep, nil
 }

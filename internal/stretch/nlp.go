@@ -13,26 +13,20 @@ import (
 type NLPOptions struct {
 	// MaxIters bounds the gradient iterations (default 4000).
 	MaxIters int
-	// Tol is the relative objective-improvement convergence threshold
-	// (default 1e-9).
-	Tol float64
-	// PenaltyInit and PenaltyGrowth control the quadratic penalty weight
-	// (defaults 10 and 1.8, grown when progress stalls).
-	PenaltyInit, PenaltyGrowth float64
 }
+
+const (
+	// nlpTol is the relative objective-improvement convergence threshold.
+	nlpTol = 1e-9
+	// nlpPenaltyInit and nlpPenaltyGrowth set the quadratic penalty weight,
+	// grown when progress stalls.
+	nlpPenaltyInit   = 10
+	nlpPenaltyGrowth = 1.8
+)
 
 func (o *NLPOptions) applyDefaults() {
 	if o.MaxIters == 0 {
 		o.MaxIters = 4000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.PenaltyInit == 0 {
-		o.PenaltyInit = 10
-	}
-	if o.PenaltyGrowth == 0 {
-		o.PenaltyGrowth = 1.8
 	}
 }
 
@@ -112,7 +106,7 @@ func NLP(s *sched.Schedule, d platform.DVFS, opts NLPOptions) (*Result, error) {
 	// Quadratic-penalty outer loop: minimize merit at the current penalty
 	// weight until progress stalls, then raise the weight.
 	const maxPenaltyBumps = 40
-	mu := opts.PenaltyInit
+	mu := float64(nlpPenaltyInit)
 	prev := merit(x, mu)
 	step := 1.0
 	bumps := 0
@@ -156,12 +150,12 @@ func NLP(s *sched.Schedule, d platform.DVFS, opts NLPOptions) (*Result, error) {
 			}
 			step *= 0.5
 		}
-		if improvedBy < 0 || improvedBy < opts.Tol*math.Abs(prev)+1e-15 {
+		if improvedBy < 0 || improvedBy < nlpTol*math.Abs(prev)+1e-15 {
 			bumps++
 			if bumps > maxPenaltyBumps {
 				break
 			}
-			mu *= opts.PenaltyGrowth
+			mu *= nlpPenaltyGrowth
 			prev = merit(x, mu)
 			step = 1
 		}
