@@ -21,10 +21,20 @@
 // implementation computes the same quantities with longest-path dynamic
 // programming instead, which stays polynomial on graphs whose explicit path
 // count explodes (fork-join ladders).
+//
+// A per-task query reads only the task's own DP entries and its critical
+// chain, so it runs the DP on the task's cone alone: the up pass over its
+// ancestors, the down pass over its descendants. A node's up value reads
+// only its predecessors and its down values only its successors, so the
+// cone's entries equal the whole-graph ones bit for bit. The heuristic's
+// per-minterm DPs are further shared: minterms that agree on every fork
+// guarding an edge the cone's DP tests yield identical cone values and the
+// same critical chain, so only the first of them is run.
 package stretch
 
 import (
 	"math"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/sched"
@@ -36,28 +46,44 @@ import (
 type dagModel struct {
 	s     *sched.Schedule
 	edges []ctg.Edge
-	comm  []float64 // per combined-edge index
-	outE  [][]int   // per task: combined-edge indices
+	comm  []float64   // per combined-edge index
+	guard []edgeGuard // per combined-edge index
+	outE  [][]int     // per task: combined-edge indices
 	inE   [][]int
 	order []ctg.TaskID // topological order of the combined graph
+	pos   []int32      // pos[t] is the index of t in order
 	exec  []float64    // current execution times
 }
 
-func newDAG(s *sched.Schedule) *dagModel {
+// edgeGuard is the scenario test of one edge: the dense index of the fork
+// whose outcome the edge's condition names (-1 for an unconditional edge)
+// and that outcome.
+type edgeGuard struct {
+	fork, outcome int32
+}
+
+func newDAG(s *sched.Schedule) *dagModel { return new(dagModel).bind(s) }
+
+// bind rebuilds the model for s in place, reusing every buffer that is large
+// enough: a workspace rebinds once per new mapping, so the buffers of the
+// previous one carry over.
+func (d *dagModel) bind(s *sched.Schedule) *dagModel {
 	g := s.G
 	n := g.NumTasks()
-	d := &dagModel{
-		s:     s,
-		edges: make([]ctg.Edge, 0, g.NumEdges()+len(s.Pseudo)),
-		outE:  make([][]int, n),
-		inE:   make([][]int, n),
-		exec:  make([]float64, n),
+	d.s = s
+	d.edges = append(append(d.edges[:0], g.Edges()...), s.Pseudo...)
+	d.comm = resize(d.comm, len(d.edges))
+	d.guard = resize(d.guard, len(d.edges))
+	d.outE, d.inE = resize(d.outE, n), resize(d.inE, n)
+	for t := range d.outE {
+		d.outE[t], d.inE[t] = d.outE[t][:0], d.inE[t][:0]
 	}
-	d.edges = append(d.edges, g.Edges()...)
-	d.edges = append(d.edges, s.Pseudo...)
-	d.comm = make([]float64, len(d.edges))
 	for ei, e := range d.edges {
 		d.comm[ei] = s.P.CommTime(e.CommKB, s.PE[e.From], s.PE[e.To])
+		d.guard[ei] = edgeGuard{fork: -1}
+		if e.Cond.IsConditional() {
+			d.guard[ei] = edgeGuard{fork: int32(g.ForkIndex(e.Cond.Branch())), outcome: int32(e.Cond.Outcome())}
+		}
 		d.outE[e.From] = append(d.outE[e.From], ei)
 		d.inE[e.To] = append(d.inE[e.To], ei)
 	}
@@ -65,7 +91,7 @@ func newDAG(s *sched.Schedule) *dagModel {
 	// earlier to strictly later nominal start times, except between
 	// mutually exclusive tasks, which carry no edges at all. Sorting by
 	// (start, id) therefore yields a topological order.
-	d.order = make([]ctg.TaskID, n)
+	d.order = resize(d.order, n)
 	for i := range d.order {
 		d.order[i] = ctg.TaskID(i)
 	}
@@ -79,10 +105,92 @@ func newDAG(s *sched.Schedule) *dagModel {
 			}
 		}
 	}
+	d.pos = resize(d.pos, n)
+	for i, t := range d.order {
+		d.pos[t] = int32(i)
+	}
+	d.exec = resize(d.exec, n)
 	for t := 0; t < n; t++ {
 		d.exec[t] = s.ExecTime(ctg.TaskID(t))
 	}
 	return d
+}
+
+// resize returns a length-n slice, reusing buf's storage when it fits.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// admits reports whether edge ei exists in the scenario assignment (nil
+// admits every edge).
+func (d *dagModel) admits(ei int, assign []int) bool {
+	g := d.guard[ei]
+	return g.fork < 0 || assign == nil || assign[g.fork] == int(g.outcome)
+}
+
+// cone lists the part of the combined graph a DP query about one task reads:
+// its ancestors and its descendants, each in topological order and each
+// including the task. The two lists share one buffer and meet at the task.
+// Nodes are marked with a fresh stamp per scan, so nothing is cleared
+// between queries.
+type cone struct {
+	anc, desc []ctg.TaskID
+	nodes     []ctg.TaskID
+	mark      []uint32
+	stamp     uint32
+}
+
+func newCone(n int) cone {
+	return cone{nodes: make([]ctg.TaskID, 0, n), mark: make([]uint32, n)}
+}
+
+// nextStamp returns a stamp no node carries yet.
+func (c *cone) nextStamp() uint32 {
+	c.stamp++
+	if c.stamp == 0 {
+		clear(c.mark)
+		c.stamp = 1
+	}
+	return c.stamp
+}
+
+// build sets the cone to task t's: one backward scan of the topological
+// order marks a node as an ancestor when one of its out-edges reaches a
+// marked node, one forward scan marks a descendant when one of its in-edges
+// leaves a marked node.
+func (c *cone) build(d *dagModel, t ctg.TaskID) {
+	p := int(d.pos[t])
+	nodes := c.nodes[:0]
+	stamp := c.nextStamp()
+	c.mark[t] = stamp
+	for i := p - 1; i >= 0; i-- {
+		v := d.order[i]
+		for _, ei := range d.outE[v] {
+			if c.mark[d.edges[ei].To] == stamp {
+				c.mark[v] = stamp
+				nodes = append(nodes, v)
+				break
+			}
+		}
+	}
+	slices.Reverse(nodes)
+	nodes = append(nodes, t)
+	k := len(nodes)
+	stamp = c.nextStamp()
+	c.mark[t] = stamp
+	for _, v := range d.order[p+1:] {
+		for _, ei := range d.inE[v] {
+			if c.mark[d.edges[ei].From] == stamp {
+				c.mark[v] = stamp
+				nodes = append(nodes, v)
+				break
+			}
+		}
+	}
+	c.nodes, c.anc, c.desc = nodes, nodes[:k], nodes[k-1:]
 }
 
 // refreshExec re-reads the execution time of one task after its speed
@@ -150,24 +258,23 @@ func (d *dagModel) run(assign []int) *dpResult {
 // stretchers call the DP once per (task, minterm) pair, so buffer reuse is
 // what keeps the inner loop allocation-free. Every slot of r is overwritten.
 func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
-	n := len(d.exec)
+	return d.runCone(r, assign, d.order, d.order)
+}
+
+// runCone computes the decomposition on a cone: the up pass over anc and the
+// down pass over desc, both given in topological order. Each up value reads
+// only predecessors and each down value only successors, so when anc is
+// closed under predecessors and desc under successors (a task's cone, or the
+// whole order) every slot they list equals its whole-graph value bit for bit.
+// The other slots keep stale values and must not be read.
+func (d *dagModel) runCone(r *dpResult, assign []int, anc, desc []ctg.TaskID) *dpResult {
 	g := d.s.G
-	ok := func(ei int) bool {
-		if assign == nil {
-			return true
-		}
-		c := d.edges[ei].Cond
-		if !c.IsConditional() {
-			return true
-		}
-		return assign[g.ForkIndex(c.Branch())] == c.Outcome()
-	}
 
 	// Upward pass in topological order.
-	for _, v := range d.order {
+	for _, v := range anc {
 		r.up[v], r.ubp[v] = 0, -1
 		for _, ei := range d.inE[v] {
-			if !ok(ei) {
+			if !d.admits(ei, assign) {
 				continue
 			}
 			u := d.edges[ei].From
@@ -178,11 +285,11 @@ func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
 	}
 
 	// Downward pass in reverse topological order.
-	for i := n - 1; i >= 0; i-- {
-		v := d.order[i]
+	for i := len(desc) - 1; i >= 0; i-- {
+		v := desc[i]
 		hasOut := false
 		for _, ei := range d.outE[v] {
-			if ok(ei) {
+			if d.admits(ei, assign) {
 				hasOut = true
 				break
 			}
@@ -198,7 +305,7 @@ func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
 		r.downC[v], r.dbpC[v] = negInf, -1
 		r.probC[v] = 0
 		for _, ei := range d.outE[v] {
-			if !ok(ei) {
+			if !d.admits(ei, assign) {
 				continue
 			}
 			e := d.edges[ei]
@@ -303,10 +410,10 @@ func (r *dpResult) walkCritical(d *dagModel, v ctg.TaskID, class byte,
 	}
 }
 
-// pathSet deduplicates critical-path node sequences so that a chain found
-// critical for several minterms is counted once by the heuristic. It
-// replaces the former string-signature keys: sequences are interned in a
-// reusable int32 arena and looked up by FNV-1a hash with exact sequence
+// pathSet deduplicates int32 sequences: critical-path node sequences, so
+// that a chain found critical for several minterms is counted once by the
+// heuristic, and minterm restrictions to a task's cone, so that minterms
+// sharing one are run once. Sequences are interned in a reusable int32 arena and looked up by FNV-1a hash with exact sequence
 // verification on hash hits, so dedup semantics are identical to string
 // comparison with zero steady-state allocation.
 type pathSet struct {
@@ -361,16 +468,21 @@ func (p *pathSet) addCritical(r *dpResult, d *dagModel, v ctg.TaskID, class byte
 	r.walkCritical(d, v, class, func(u ctg.TaskID) {
 		p.buf = append(p.buf, int32(u))
 	}, func(int) {})
-	h := fnv1a(p.buf)
+	return p.add(p.buf)
+}
+
+// add interns a sequence, reporting whether it was new.
+func (p *pathSet) add(seq []int32) bool {
+	h := fnv1a(seq)
 	for idx := p.heads[h]; idx != 0; {
 		span := p.entries[idx-1]
 		idx = span.prev
-		if int(span.end-span.start) != len(p.buf) {
+		if int(span.end-span.start) != len(seq) {
 			continue
 		}
 		match := true
 		for i, u := range p.arena[span.start:span.end] {
-			if u != p.buf[i] {
+			if u != seq[i] {
 				match = false
 				break
 			}
@@ -380,7 +492,7 @@ func (p *pathSet) addCritical(r *dpResult, d *dagModel, v ctg.TaskID, class byte
 		}
 	}
 	start := int32(len(p.arena))
-	p.arena = append(p.arena, p.buf...)
+	p.arena = append(p.arena, seq...)
 	p.entries = append(p.entries, pathSpan{start: start, end: int32(len(p.arena)), prev: p.heads[h]})
 	p.heads[h] = int32(len(p.entries))
 	return true

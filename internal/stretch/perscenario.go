@@ -158,17 +158,19 @@ func foldTaskSpeeds(a *ctg.Analysis, forks ctg.Bitset, radix []uint64, ideal, sp
 
 // scenarioScratch is the per-worker reusable state of the PerScenario
 // stretching loop: a mutable view of the base DAG (cost vectors only; the
-// topology is shared read-only), a DP decomposition, and the lock vector.
+// topology is shared read-only), the current task's cone, a DP
+// decomposition, and the lock vector.
 type scenarioScratch struct {
 	base   *dagModel
 	view   dagModel
+	cone   cone
 	dp     *dpResult
 	locked []bool
 }
 
 func newScenarioScratch(base *dagModel) *scenarioScratch {
 	n := len(base.exec)
-	scr := &scenarioScratch{base: base, view: *base, dp: newDPResult(n), locked: make([]bool, n)}
+	scr := &scenarioScratch{base: base, view: *base, cone: newCone(n), dp: newDPResult(n), locked: make([]bool, n)}
 	scr.view.exec = make([]float64, n)
 	scr.view.comm = make([]float64, len(base.comm))
 	return scr
@@ -213,7 +215,8 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 	locked := scr.locked
 	for _, t := range s.Order {
 		if sc.Active.Get(int(t)) {
-			r := dag.runInto(scr.dp, sc.Assign)
+			scr.cone.build(dag, t)
+			r := dag.runCone(scr.dp, sc.Assign, scr.cone.anc, scr.cone.desc)
 			delay := dag.throughAny(r, t)
 			if slack := deadline - delay; slack > 0 {
 				denom := r.criticalDenominator(dag, t, 'A', locked)

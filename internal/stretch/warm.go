@@ -15,7 +15,8 @@ import (
 // unaffected tasks keep their incumbent speeds and are treated as locked
 // from the outset — exactly the state the full heuristic reaches after
 // processing them — so the partial pass costs O(|affected| × minterms × DP)
-// instead of O(tasks × minterms × DP).
+// instead of O(tasks × minterms × DP), where each DP runs on one task's cone
+// and minterms sharing a cone restriction share one DP (see calculateSlack).
 //
 // Deadline safety is unconditional: the incumbent kept every chain within
 // the deadline, resetting the affected tasks to full speed only shortens

@@ -21,10 +21,14 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 		return nil, err
 	}
 	dag := newDAG(s)
+	n := s.G.NumTasks()
 	deadline := s.G.Deadline()
 	res := &Result{}
+	r := newDPResult(n)
+	c := newCone(n)
 	for _, t := range s.Order {
-		r := dag.run(nil)
+		c.build(dag, t)
+		dag.runCone(r, nil, c.anc, c.desc)
 		delay := dag.throughAny(r, t)
 		slack := deadline - delay
 		if slack <= 0 {
@@ -43,6 +47,6 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 		}
 	}
 	res.ExpectedEnergy = s.ExpectedEnergy()
-	res.WorstDelay = dag.longest(dag.run(nil))
+	res.WorstDelay = dag.longest(dag.runInto(r, nil))
 	return res, nil
 }
